@@ -359,6 +359,14 @@ impl Composition {
         });
         let model = self.composition_model(capacity, query.invariants_enabled());
         let boundary = check_composition(&model, &self.options.check);
+        // Kept apart from `stats`, whose counters stay the tile totals.
+        telemetry.event_with("compose.boundary", || {
+            vec![
+                ("refinements", boundary.refinements.to_string()),
+                ("theory_conflicts", boundary.theory_conflicts.to_string()),
+                ("imported", boundary.imported.to_string()),
+            ]
+        });
         drop(boundary_span);
         stats.elapsed = start.elapsed();
         let (verdict, attribution) = match boundary.outcome {

@@ -108,6 +108,10 @@ pub struct BoundaryAnalysis {
     /// a coefficient exceeded the solver's integer width) — skipping only
     /// drops constraints, so it errs towards `Candidate`, never `Free`.
     pub skipped: usize,
+    /// SAT/theory refinement iterations of the boundary solver.
+    pub refinements: u64,
+    /// Theory conflicts (blocking clauses) of the boundary solver.
+    pub theory_conflicts: u64,
     /// Wall-clock time of the check.
     pub elapsed: Duration,
 }
@@ -198,10 +202,13 @@ pub fn check_composition(model: &CompositionModel, config: &CheckConfig) -> Boun
             BoundaryOutcome::Candidate { ports }
         }
     };
+    let stats = smt.stats();
     BoundaryAnalysis {
         outcome,
         imported,
         skipped,
+        refinements: stats.refinements,
+        theory_conflicts: stats.theory_conflicts,
         elapsed: start.elapsed(),
     }
 }

@@ -21,11 +21,12 @@
 //! | unknown job id | `404` |
 //!
 //! Graceful drain (SIGTERM when opted in, or `POST /v1/shutdown`):
-//! stop accepting, finish the request each connection is on, wait for
-//! every accepted job to produce its outcome, flush telemetry sinks.
+//! stop accepting, finish the request each connection is on, close idle
+//! keep-alive connections (within 50 ms), wait for every accepted job to
+//! produce its outcome, flush telemetry sinks.
 
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,7 +51,8 @@ pub struct FrontendConfig {
     /// Bound on sockets accepted but not yet picked up by a worker;
     /// beyond it new connections get an immediate `503`.
     pub accept_backlog: usize,
-    /// Per-connection read deadline (also the keep-alive idle timeout).
+    /// Per-connection read deadline (also the keep-alive idle timeout;
+    /// a drain closes idle connections without waiting for it).
     pub read_timeout: Duration,
     /// Per-connection write deadline.
     pub write_timeout: Duration,
@@ -79,6 +81,9 @@ impl Default for FrontendConfig {
 /// How often the accept loop re-checks the shutdown flags between
 /// non-blocking accept attempts.
 const ACCEPT_NAP: Duration = Duration::from_millis(10);
+/// How long an idle keep-alive connection blocks in one read before it
+/// re-checks the drain flags.
+const IDLE_SLICE: Duration = Duration::from_millis(50);
 /// Chunk cadence of the trace stream: how long one `wait_drain` parks.
 const TRACE_SLICE: Duration = Duration::from_millis(100);
 /// Default and maximum client-requested wait budgets.
@@ -100,7 +105,7 @@ struct Shared {
     available: Condvar,
     /// Raised by `shutdown()`, `POST /v1/shutdown` or SIGTERM: the
     /// accept loop exits and keep-alive connections close after their
-    /// current exchange.
+    /// current exchange (idle ones at their next read slice).
     draining: AtomicBool,
     config: FrontendConfig,
 }
@@ -193,8 +198,8 @@ impl Server {
     /// Serves until a drain is requested — by [`Server::shutdown`],
     /// `POST /v1/shutdown`, or SIGTERM (when opted in) — then finishes
     /// it: accept loop down, connections closed after their current
-    /// exchange, every accepted job completed (up to the drain
-    /// timeout), sinks flushed.  Returns `false` when jobs were still
+    /// exchange (idle keep-alive ones at once), every accepted job
+    /// completed (up to the drain timeout), sinks flushed.  Returns `false` when jobs were still
     /// running at the timeout.
     pub fn join(mut self) -> bool {
         self.drain()
@@ -310,6 +315,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(stream);
 
     loop {
+        if !await_request(&mut reader, shared) {
+            return;
+        }
         let request = match read_request(&mut reader) {
             Ok(Some(request)) => request,
             // Clean EOF: the peer is done with the connection.
@@ -344,6 +352,47 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             return;
         }
     }
+}
+
+/// Waits for the first byte of the connection's next request, reading in
+/// `IDLE_SLICE`s that re-check the drain flags, so a drain closes an
+/// idle keep-alive connection promptly instead of after `read_timeout`.
+/// `false` on EOF, a read error, a drain, or `read_timeout` of idleness;
+/// `true` with the full `read_timeout` restored for the request itself.
+fn await_request(reader: &mut BufReader<TcpStream>, shared: &Shared) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
+    }
+    let read_timeout = shared.config.read_timeout;
+    if reader
+        .get_ref()
+        .set_read_timeout(Some(IDLE_SLICE.min(read_timeout)))
+        .is_err()
+    {
+        return false;
+    }
+    let idle_since = Instant::now();
+    let ready = loop {
+        match reader.fill_buf() {
+            Ok(bytes) => break !bytes.is_empty(),
+            Err(error)
+                if matches!(
+                    error.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                if shared.drain_requested() || idle_since.elapsed() >= read_timeout {
+                    break false;
+                }
+            }
+            Err(_) => break false,
+        }
+    };
+    ready
+        && reader
+            .get_ref()
+            .set_read_timeout(Some(read_timeout))
+            .is_ok()
 }
 
 fn route(request: &Request, shared: &Shared) -> Response {

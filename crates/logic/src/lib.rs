@@ -22,8 +22,11 @@
 //!    analysis, heap-served activity-based branching with phase saving,
 //!    LBD-aware Luby restarts, learnt-database reduction),
 //! 3. [`theory`] — a bounded linear-integer-arithmetic solver based on
-//!    interval propagation and branch & bound, producing conflict cores,
-//! 4. [`smt`] — the lazy refinement loop tying the two together.
+//!    interval propagation and branch & bound, explaining refutations by
+//!    the constraints they rest on,
+//! 4. [`smt`] — the lazy refinement loop tying the two together, with
+//!    every theory lemma re-checked by an independent propagator in
+//!    debug builds.
 //!
 //! # Examples
 //!
@@ -46,6 +49,7 @@
 
 pub mod cnf;
 mod expr;
+mod lemma;
 mod model;
 pub mod sat;
 pub mod share;

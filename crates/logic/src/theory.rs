@@ -10,10 +10,20 @@
 //! 2. **branch & bound** — split the domain of an undetermined variable and
 //!    recurse.
 //!
-//! The solver returns an integer model when feasible.  When infeasible it
-//! does not attempt to compute a minimal core itself; the SMT loop
-//! ([`crate::smt`]) performs deletion-based core minimisation using the
-//! cheap [`refuted_by_propagation`] check.
+//! The solver returns an integer model when feasible.  When propagation
+//! refutes a constraint set, [`explain_refutation`] names the constraints
+//! the refutation rests on: every bound tightening records the constraint
+//! that made it and the bounds that constraint read, and the reason
+//! closure of the emptied domain (or violated constraint) is the core.
+//! The SMT loop ([`crate::smt`]) turns that core into a blocking clause,
+//! after shrinking it further with the cheap [`refuted_by_propagation`]
+//! check.
+//!
+//! All arithmetic on coefficients and bounds is checked.  A product or
+//! sum that leaves `i64` stops propagation without a refutation, so
+//! [`refuted_by_propagation`] answers `false`, [`explain_refutation`]
+//! `None` and [`solve`] [`TheoryVerdict::Unknown`] — never a wrong
+//! `Unsat`.
 
 /// A single theory constraint `Σ terms ≤ bound` over integer variables
 /// identified by their index in the domain vector.
@@ -33,8 +43,14 @@ impl Constraint {
 
     /// Evaluates whether the constraint holds under the given assignment.
     pub fn holds(&self, assignment: &[i64]) -> bool {
-        let sum: i64 = self.terms.iter().map(|(c, v)| c * assignment[*v]).sum();
-        sum <= self.bound
+        // Exact in i128: each product fits, and so does any sum of fewer
+        // than 2^63 of them.
+        let sum: i128 = self
+            .terms
+            .iter()
+            .map(|&(c, v)| i128::from(c) * i128::from(assignment[v]))
+            .sum();
+        sum <= i128::from(self.bound)
     }
 }
 
@@ -45,7 +61,8 @@ pub enum TheoryVerdict {
     Sat(Vec<i64>),
     /// The constraints are unsatisfiable.
     Unsat,
-    /// The search budget was exhausted before a verdict was reached.
+    /// The search budget was exhausted, or the arithmetic left `i64`,
+    /// before a verdict was reached.
     Unknown,
 }
 
@@ -56,110 +73,256 @@ struct Domains {
 }
 
 impl Domains {
+    fn new(bounds: &[(i64, i64)]) -> Self {
+        Domains {
+            lo: bounds.iter().map(|b| b.0).collect(),
+            hi: bounds.iter().map(|b| b.1).collect(),
+        }
+    }
+
     fn is_fixed(&self, v: usize) -> bool {
         self.lo[v] == self.hi[v]
     }
+
+    /// The smallest value `a·x` takes over the domain of `x`, `None` when
+    /// it leaves `i64`.
+    fn term_min(&self, a: i64, v: usize) -> Option<i64> {
+        a.checked_mul(if a > 0 { self.lo[v] } else { self.hi[v] })
+    }
 }
 
-/// Tightens the domains using interval propagation.
-///
-/// Returns `Err(())` when some domain becomes empty (a sound proof of
-/// infeasibility), `Ok(())` at fixpoint otherwise.
-fn propagate(domains: &mut Domains, constraints: &[Constraint]) -> Result<(), ()> {
+/// How a propagation run ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Propagation {
+    /// No constraint tightens any domain further.
+    Fixpoint,
+    /// A domain became empty, or a constraint's minimal sum exceeds its
+    /// bound: a sound proof of infeasibility.
+    Refuted,
+    /// A product or sum left `i64`; nothing is concluded.
+    Overflow,
+}
+
+/// Tightens the domains using interval propagation to a fixpoint,
+/// recording why each bound moved when `reasons` is given.
+fn propagate(
+    domains: &mut Domains,
+    constraints: &[Constraint],
+    mut reasons: Option<&mut Reasons>,
+) -> Propagation {
     loop {
         let mut changed = false;
-        for c in constraints {
+        for (ci, c) in constraints.iter().enumerate() {
             // Minimal possible value of the weighted sum.
             let mut min_sum: i64 = 0;
             for &(a, v) in &c.terms {
-                min_sum += if a > 0 {
-                    a * domains.lo[v]
-                } else {
-                    a * domains.hi[v]
-                };
+                match domains.term_min(a, v).and_then(|m| min_sum.checked_add(m)) {
+                    Some(sum) => min_sum = sum,
+                    None => return Propagation::Overflow,
+                }
             }
             if min_sum > c.bound {
-                return Err(());
+                if let Some(r) = reasons {
+                    r.violated(ci, c);
+                }
+                return Propagation::Refuted;
             }
-            for &(a, v) in &c.terms {
-                let own_min = if a > 0 {
-                    a * domains.lo[v]
-                } else {
-                    a * domains.hi[v]
+            for (ti, &(a, v)) in c.terms.iter().enumerate() {
+                // What the other terms leave for this one.
+                let budget = domains
+                    .term_min(a, v)
+                    .and_then(|own_min| min_sum.checked_sub(own_min))
+                    .and_then(|others_min| c.bound.checked_sub(others_min));
+                let Some(budget) = budget else {
+                    return Propagation::Overflow;
                 };
-                let others_min = min_sum - own_min;
-                let budget = c.bound - others_min;
-                if a > 0 {
+                let upper = a > 0;
+                let moved = if upper {
                     // a·x ≤ budget  =>  x ≤ floor(budget / a)
                     let new_hi = budget.div_euclid(a);
-                    if new_hi < domains.hi[v] {
+                    let moved = new_hi < domains.hi[v];
+                    if moved {
                         domains.hi[v] = new_hi;
-                        changed = true;
-                        if domains.hi[v] < domains.lo[v] {
-                            return Err(());
-                        }
                     }
+                    moved
                 } else {
                     // a·x ≤ budget with a < 0  =>  x ≥ ceil(budget / a)
-                    let new_lo = ceil_div(budget, a);
-                    if new_lo > domains.lo[v] {
+                    let Some(new_lo) = ceil_div(budget, a) else {
+                        return Propagation::Overflow;
+                    };
+                    let moved = new_lo > domains.lo[v];
+                    if moved {
                         domains.lo[v] = new_lo;
-                        changed = true;
-                        if domains.hi[v] < domains.lo[v] {
-                            return Err(());
-                        }
                     }
+                    moved
+                };
+                if !moved {
+                    continue;
+                }
+                changed = true;
+                if let Some(r) = reasons.as_deref_mut() {
+                    r.tightened(ci, c, ti, upper);
+                }
+                if domains.hi[v] < domains.lo[v] {
+                    if let Some(r) = reasons {
+                        r.emptied(v);
+                    }
+                    return Propagation::Refuted;
                 }
             }
         }
         if !changed {
-            return Ok(());
+            return Propagation::Fixpoint;
         }
     }
 }
 
-fn ceil_div(a: i64, b: i64) -> i64 {
-    // Rounds a / b towards positive infinity; b may be negative.
+/// Rounds `a / b` towards positive infinity; `b` may be negative.  `None`
+/// only for `i64::MIN / -1`.
+fn ceil_div(a: i64, b: i64) -> Option<i64> {
     // `div_euclid` leaves a non-negative remainder, so it floors for b > 0
     // and already computes the ceiling for b < 0.
-    let q = a.div_euclid(b);
+    let q = a.checked_div_euclid(b)?;
     let r = a.rem_euclid(b);
-    if r == 0 || b < 0 {
-        q
-    } else {
-        q + 1
+    Some(if r == 0 || b < 0 { q } else { q + 1 })
+}
+
+/// Why every current bound holds, recorded during an explaining
+/// propagation run.
+///
+/// Each tightening is a step: the constraint that made it, plus the steps
+/// that justified the bounds it read (the other terms' minimising bounds).
+/// A bound without a step is an initial variable bound, which needs no
+/// constraint.
+#[derive(Default)]
+struct Reasons {
+    /// Step justifying the current lower / upper bound of each variable.
+    lo: Vec<Option<usize>>,
+    hi: Vec<Option<usize>>,
+    /// Per step, its constraint and where its antecedent steps begin in
+    /// `antecedents`; they run up to where the next step's begin.
+    steps: Vec<(usize, usize)>,
+    antecedents: Vec<usize>,
+    /// Steps the refutation reads directly, and the violated constraint
+    /// (if the refutation was a violated sum rather than an empty domain).
+    conflict: Vec<usize>,
+    violated: Option<usize>,
+}
+
+impl Reasons {
+    fn new(vars: usize) -> Self {
+        Reasons {
+            lo: vec![None; vars],
+            hi: vec![None; vars],
+            ..Reasons::default()
+        }
+    }
+
+    /// The step behind the bound that minimises `a·x`.
+    fn minimising(&self, a: i64, v: usize) -> Option<usize> {
+        if a > 0 {
+            self.lo[v]
+        } else {
+            self.hi[v]
+        }
+    }
+
+    /// Indices (ascending) of the constraints the refutation rests on:
+    /// the constraints of every step reachable from the conflict.
+    fn core(&self) -> Vec<usize> {
+        let mut seen = vec![false; self.steps.len()];
+        let mut stack = self.conflict.clone();
+        let mut core: Vec<usize> = self.violated.into_iter().collect();
+        while let Some(step) = stack.pop() {
+            if std::mem::replace(&mut seen[step], true) {
+                continue;
+            }
+            let (constraint, start) = self.steps[step];
+            let end = self
+                .steps
+                .get(step + 1)
+                .map_or(self.antecedents.len(), |s| s.1);
+            core.push(constraint);
+            stack.extend_from_slice(&self.antecedents[start..end]);
+        }
+        core.sort_unstable();
+        core.dedup();
+        core
+    }
+
+    /// Constraint `c` tightened the upper (`upper`) or lower bound of its
+    /// `term`-th variable, reading the other terms' minimising bounds.
+    fn tightened(&mut self, c: usize, constraint: &Constraint, term: usize, upper: bool) {
+        let step = self.steps.len();
+        self.steps.push((c, self.antecedents.len()));
+        for (ti, &(a, v)) in constraint.terms.iter().enumerate() {
+            if ti != term {
+                self.antecedents.extend(self.minimising(a, v));
+            }
+        }
+        let (_, v) = constraint.terms[term];
+        if upper {
+            self.hi[v] = Some(step);
+        } else {
+            self.lo[v] = Some(step);
+        }
+    }
+
+    /// Constraint `c` cannot hold under the current bounds of its terms.
+    fn violated(&mut self, c: usize, constraint: &Constraint) {
+        self.violated = Some(c);
+        for &(a, v) in &constraint.terms {
+            self.conflict.extend(self.minimising(a, v));
+        }
+    }
+
+    /// The domain of `v` became empty.
+    fn emptied(&mut self, v: usize) {
+        self.conflict.extend(self.lo[v]);
+        self.conflict.extend(self.hi[v]);
     }
 }
 
 /// Returns `true` when interval propagation alone refutes the constraints.
 ///
 /// This is a cheap, sound (but incomplete) infeasibility check used for
-/// conflict-core minimisation.
+/// conflict-core minimisation.  Short of overflow it is monotone in the
+/// constraint set: a superset of a refuted set is refuted.
 pub fn refuted_by_propagation(bounds: &[(i64, i64)], constraints: &[Constraint]) -> bool {
-    let mut domains = Domains {
-        lo: bounds.iter().map(|b| b.0).collect(),
-        hi: bounds.iter().map(|b| b.1).collect(),
-    };
-    propagate(&mut domains, constraints).is_err()
+    propagate(&mut Domains::new(bounds), constraints, None) == Propagation::Refuted
+}
+
+/// Explains a refutation by interval propagation: returns the indices
+/// (ascending) of the constraints the refutation rests on, or `None`
+/// when propagation reaches a fixpoint (or overflows) instead.
+///
+/// The core is the reason closure of the conflict, so propagation over
+/// it alone re-derives every bound the refutation read and (short of
+/// overflow) refutes it again.  It is usually far smaller than `constraints`, but not minimal:
+/// it keeps every tightening on the way, including ones a shorter
+/// derivation would skip.
+pub fn explain_refutation(bounds: &[(i64, i64)], constraints: &[Constraint]) -> Option<Vec<usize>> {
+    let mut reasons = Reasons::new(bounds.len());
+    match propagate(&mut Domains::new(bounds), constraints, Some(&mut reasons)) {
+        Propagation::Refuted => Some(reasons.core()),
+        Propagation::Fixpoint | Propagation::Overflow => None,
+    }
 }
 
 /// Decides feasibility of `constraints` over variables with the given
 /// inclusive `bounds`.
 ///
 /// `node_budget` bounds the number of search nodes explored; when exhausted
-/// the verdict is [`TheoryVerdict::Unknown`].
+/// the verdict is [`TheoryVerdict::Unknown`], as it is when the
+/// arithmetic leaves `i64`.
 pub fn solve(bounds: &[(i64, i64)], constraints: &[Constraint], node_budget: u64) -> TheoryVerdict {
     for c in constraints {
         for &(_, v) in &c.terms {
             assert!(v < bounds.len(), "constraint mentions undeclared variable");
         }
     }
-    let domains = Domains {
-        lo: bounds.iter().map(|b| b.0).collect(),
-        hi: bounds.iter().map(|b| b.1).collect(),
-    };
     let mut budget = node_budget;
-    search(domains, constraints, &mut budget)
+    search(Domains::new(bounds), constraints, &mut budget)
 }
 
 fn search(mut domains: Domains, constraints: &[Constraint], budget: &mut u64) -> TheoryVerdict {
@@ -167,27 +330,30 @@ fn search(mut domains: Domains, constraints: &[Constraint], budget: &mut u64) ->
         return TheoryVerdict::Unknown;
     }
     *budget -= 1;
-    if propagate(&mut domains, constraints).is_err() {
-        return TheoryVerdict::Unsat;
+    match propagate(&mut domains, constraints, None) {
+        Propagation::Fixpoint => {}
+        Propagation::Refuted => return TheoryVerdict::Unsat,
+        Propagation::Overflow => return TheoryVerdict::Unknown,
     }
     // Pick the unfixed variable with the smallest domain.
-    let mut pick: Option<(usize, i64)> = None;
+    let mut pick: Option<(usize, u64)> = None;
     for v in 0..domains.lo.len() {
         if !domains.is_fixed(v) {
-            let width = domains.hi[v] - domains.lo[v];
+            let width = domains.hi[v].abs_diff(domains.lo[v]);
             match pick {
                 Some((_, w)) if w <= width => {}
                 _ => pick = Some((v, width)),
             }
         }
     }
-    let Some((v, _)) = pick else {
+    let Some((v, width)) = pick else {
         // All variables fixed: propagation guarantees every constraint's
         // minimal sum is within bounds, which for fixed domains is the exact
         // sum, so this is a model.
         return TheoryVerdict::Sat(domains.lo);
     };
-    let mid = domains.lo[v] + (domains.hi[v] - domains.lo[v]) / 2;
+    // lo ≤ mid < hi, so neither `mid` nor `mid + 1` overflows.
+    let mid = domains.lo[v].wrapping_add_unsigned(width / 2);
 
     // Lower half first: flow-style systems usually admit small solutions.
     let mut lower = domains.clone();
@@ -205,6 +371,12 @@ fn search(mut domains: Domains, constraints: &[Constraint], budget: &mut u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TheoryVerdict {
+        fn is_sat(&self) -> bool {
+            matches!(self, TheoryVerdict::Sat(_))
+        }
+    }
 
     fn le(terms: Vec<(i64, usize)>, bound: i64) -> Constraint {
         Constraint::new(terms, bound)
@@ -293,11 +465,52 @@ mod tests {
 
     #[test]
     fn ceil_div_matches_mathematical_ceiling() {
-        assert_eq!(ceil_div(7, 2), 4);
-        assert_eq!(ceil_div(6, 2), 3);
-        assert_eq!(ceil_div(-7, 2), -3);
-        assert_eq!(ceil_div(7, -2), -3);
-        assert_eq!(ceil_div(-7, -2), 4);
-        assert_eq!(ceil_div(6, -2), -3);
+        assert_eq!(ceil_div(7, 2), Some(4));
+        assert_eq!(ceil_div(6, 2), Some(3));
+        assert_eq!(ceil_div(-7, 2), Some(-3));
+        assert_eq!(ceil_div(7, -2), Some(-3));
+        assert_eq!(ceil_div(-7, -2), Some(4));
+        assert_eq!(ceil_div(6, -2), Some(-3));
+        assert_eq!(ceil_div(i64::MIN, -1), None);
+    }
+
+    #[test]
+    fn coefficients_near_half_of_i64_never_give_a_wrong_unsat() {
+        const HALF: i64 = i64::MAX / 2;
+        // -HALF·x ≤ 0 holds for every x ≥ 0, but -HALF·3 leaves i64:
+        // wrapped arithmetic would see a huge positive minimum and refute.
+        let cs = vec![le(vec![(-HALF, 0)], 0)];
+        assert_eq!(solve(&[(0, 3)], &cs, 1_000), TheoryVerdict::Unknown);
+        assert!(!refuted_by_propagation(&[(0, 3)], &cs));
+        assert_eq!(explain_refutation(&[(0, 3)], &cs), None);
+
+        // HALF·x + HALF·y ≤ 0 with x, y ≥ 2: each product fits, their
+        // sum does not.  Infeasible, but only Unknown is a safe answer.
+        let cs = vec![le(vec![(HALF, 0), (HALF, 1)], 0)];
+        assert_eq!(solve(&[(2, 3), (2, 3)], &cs, 1_000), TheoryVerdict::Unknown);
+
+        // Where every sum fits, the big coefficients still decide exactly.
+        let cs = vec![le(vec![(HALF, 0), (HALF, 1)], HALF)];
+        assert!(solve(&[(1, 1), (0, 1)], &cs, 1_000).is_sat());
+        assert_eq!(solve(&[(1, 1), (1, 1)], &cs, 1_000), TheoryVerdict::Unsat);
+        assert_eq!(explain_refutation(&[(1, 1), (1, 1)], &cs), Some(vec![0]));
+    }
+
+    #[test]
+    fn explanation_follows_the_chain_of_tightenings() {
+        // x0 ≥ 2 (c0), an unrelated x3 ≤ 1 (c1), x1 ≥ x0 (c2), x2 ≥ x1 (c3),
+        // x2 ≤ 1 (c4): the refutation reads c0, c2, c3 and c4, not c1.
+        let cs = vec![
+            le(vec![(-1, 0)], -2),
+            le(vec![(1, 3)], 1),
+            le(vec![(1, 0), (-1, 1)], 0),
+            le(vec![(1, 1), (-1, 2)], 0),
+            le(vec![(1, 2)], 1),
+        ];
+        assert_eq!(
+            explain_refutation(&[(0, 5); 4], &cs),
+            Some(vec![0, 2, 3, 4])
+        );
+        assert_eq!(explain_refutation(&[(0, 5); 4], &cs[1..]), None);
     }
 }

@@ -150,6 +150,46 @@ fn a_boundary_candidate_names_its_interface_in_the_summary() {
     assert!(!cex.queue_contents.is_empty());
 }
 
+/// The boundary solver's effort is reported on its own `compose.boundary`
+/// trace event rather than folded into the report's tile counters.
+#[test]
+fn the_boundary_check_reports_its_refinements_on_a_trace_event() {
+    let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
+    let partition = Arc::new(Partition::per_node(&config.topology));
+    let (telemetry, trace) = Telemetry::ring(1 << 16);
+    let check = CheckConfig {
+        solver: SolverConfig {
+            telemetry: telemetry.clone(),
+            ..SolverConfig::default()
+        },
+        ..CheckConfig::default()
+    };
+    let options = ComposeOptions::new(3..=3)
+        .with_flat_fallback(0)
+        .with_check(check);
+    let mut composed = QueryEngine::compose(config, partition, options).unwrap();
+    let report = composed.check(&Query::new().capacity(3));
+    assert!(!report.is_deadlock_free(), "the boundary check fires");
+    telemetry.flush();
+
+    let lines = trace.lines();
+    let event = lines
+        .iter()
+        .find(|l| l.contains("\"type\":\"event\"") && l.contains("\"name\":\"compose.boundary\""))
+        .expect("a compose.boundary event");
+    let field = |key: &str| -> u64 {
+        let marker = format!("\"{key}\":\"");
+        let start = event.find(&marker).expect(key) + marker.len();
+        let len = event[start..].find('"').expect("closing quote");
+        event[start..start + len].parse().expect("a count")
+    };
+    let (refinements, conflicts) = (field("refinements"), field("theory_conflicts"));
+    // A candidate ends on the one refinement the theory accepted; every
+    // earlier one was a theory conflict.
+    assert!(refinements >= 1);
+    assert_eq!(conflicts, refinements - 1, "{event}");
+}
+
 /// A tile that fails certification (here: a ring segment that wedges even
 /// under a fully liberal environment) short-circuits the composed run
 /// and is named in the attribution.

@@ -265,6 +265,28 @@ fn sigterm_drains_without_losing_accepted_jobs() {
     );
 }
 
+/// A drain does not wait out `read_timeout` on an idle keep-alive
+/// connection: under the default config (10 s read timeout) the server
+/// closes it and `join` returns well within a second.
+#[test]
+fn drain_with_an_idle_keep_alive_client_is_prompt() {
+    let harness = start(ServiceConfig::default(), FrontendConfig::default());
+    let mut client = client_for(&harness.server);
+    let health = client.health().expect("transport");
+    assert_eq!(health.status, 200);
+
+    // The client stays connected and idle while the server drains.
+    let started = std::time::Instant::now();
+    harness.server.shutdown();
+    assert!(harness.server.join(), "nothing to wait for");
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "drain took {elapsed:?} with an idle keep-alive client"
+    );
+    drop(client);
+}
+
 /// Satellite acceptance: `/metrics` is valid Prometheus text exposition
 /// — HELP/TYPE lines per family, parseable sample values, and
 /// cumulative (nondecreasing) histogram buckets.

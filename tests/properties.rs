@@ -7,6 +7,7 @@
 //! index identifies the failing input).
 
 use advocat::explorer::XorShift64;
+use advocat::logic::theory::{explain_refutation, refuted_by_propagation, Constraint};
 use advocat::logic::{Formula, LinExpr, SmtSolver};
 use advocat::num::{eliminate, satisfies, LinearRow, Rational};
 use advocat::prelude::*;
@@ -92,6 +93,67 @@ fn smt_matches_brute_force() {
             advocat::logic::SmtResult::Unknown => panic!("case {case}: solver gave up"),
         }
     }
+}
+
+/// Explained theory refutations are sound: whenever interval propagation
+/// refutes a random small system, the explanation names a subset of its
+/// constraints that propagation refutes on its own; when propagation
+/// reaches a fixpoint there is nothing to explain.
+#[test]
+fn explained_refutations_are_refuted_subsets() {
+    let mut gen = XorShift64::new(0xE4A1);
+    let (mut refuted_cases, mut chained_cases) = (0, 0);
+    for case in 0..600 {
+        let vars = gen.int(2, 6) as usize;
+        let bounds: Vec<(i64, i64)> = (0..vars)
+            .map(|_| {
+                let lo = gen.int(-2, 2) as i64;
+                (lo, lo + gen.int(1, 5) as i64)
+            })
+            .collect();
+        // Each constraint alone leaves slack over the initial bounds, so
+        // most refutations chain tightenings of several constraints.
+        let constraints: Vec<Constraint> = (0..gen.int(2, 10))
+            .map(|_| {
+                let terms: Vec<(i64, usize)> = (0..gen.int(1, 3))
+                    .map(|_| {
+                        let coef = [-3, -2, -1, 1, 2, 3][gen.int(0, 5) as usize];
+                        (coef, gen.int(0, vars as i128 - 1) as usize)
+                    })
+                    .collect();
+                let min_sum: i64 = terms
+                    .iter()
+                    .map(|&(a, v)| a * if a > 0 { bounds[v].0 } else { bounds[v].1 })
+                    .sum();
+                Constraint::new(terms, min_sum + gen.int(0, 3) as i64)
+            })
+            .collect();
+
+        let explained = explain_refutation(&bounds, &constraints);
+        if !refuted_by_propagation(&bounds, &constraints) {
+            assert_eq!(explained, None, "case {case}: explained a fixpoint");
+            continue;
+        }
+        refuted_cases += 1;
+        let core = explained.unwrap_or_else(|| panic!("case {case}: refutation unexplained"));
+        assert!(
+            core.windows(2).all(|w| w[0] < w[1]) && core.iter().all(|&i| i < constraints.len()),
+            "case {case}: {core:?} is not a subset of 0..{}",
+            constraints.len()
+        );
+        if core.len() > 1 {
+            chained_cases += 1;
+        }
+        let subset: Vec<Constraint> = core.iter().map(|&i| constraints[i].clone()).collect();
+        assert!(
+            refuted_by_propagation(&bounds, &subset),
+            "case {case}: core {core:?} of {constraints:?} is not refuted"
+        );
+    }
+    assert!(
+        refuted_cases < 600 && chained_cases > 300,
+        "{refuted_cases} refuted systems, {chained_cases} with chained cores"
+    );
 }
 
 /// Every packet interned into a network round-trips through the color table.
