@@ -372,12 +372,6 @@ fn search(mut domains: Domains, constraints: &[Constraint], budget: &mut u64) ->
 mod tests {
     use super::*;
 
-    impl TheoryVerdict {
-        fn is_sat(&self) -> bool {
-            matches!(self, TheoryVerdict::Sat(_))
-        }
-    }
-
     fn le(terms: Vec<(i64, usize)>, bound: i64) -> Constraint {
         Constraint::new(terms, bound)
     }
@@ -491,7 +485,10 @@ mod tests {
 
         // Where every sum fits, the big coefficients still decide exactly.
         let cs = vec![le(vec![(HALF, 0), (HALF, 1)], HALF)];
-        assert!(solve(&[(1, 1), (0, 1)], &cs, 1_000).is_sat());
+        assert_eq!(
+            solve(&[(1, 1), (0, 1)], &cs, 1_000),
+            TheoryVerdict::Sat(vec![1, 0])
+        );
         assert_eq!(solve(&[(1, 1), (1, 1)], &cs, 1_000), TheoryVerdict::Unsat);
         assert_eq!(explain_refutation(&[(1, 1), (1, 1)], &cs), Some(vec![0]));
     }
