@@ -25,7 +25,8 @@ use advocat_automata::System;
 use advocat_deadlock::DeadlockSpec;
 use advocat_logic::CheckConfig;
 use advocat_noc::{
-    build_fabric_for_sweep, build_tile_fabric, FabricConfig, FabricError, MeshConfig, Partition,
+    build_fabric_for_sweep, build_tile_fabric, ConfigDigest, FabricConfig, FabricError, MeshConfig,
+    Partition,
 };
 
 use crate::query::SessionStats;
@@ -47,12 +48,19 @@ pub enum ScenarioFabric {
     /// class share a fingerprint, so a composed run certifies each class
     /// once warm (see [`crate::QueryEngine::compose`]).
     Tile {
-        /// The whole-fabric configuration the tile is cut from.
-        fabric: Box<FabricConfig>,
+        /// The whole-fabric configuration the tile is cut from (shared:
+        /// every tile job of a composed check points at the same one).
+        fabric: Arc<FabricConfig>,
         /// The partition defining the tile.
         partition: Arc<Partition>,
         /// The tile's index within the partition.
         tile: usize,
+        /// The tile's structural class,
+        /// `partition.tile_class_digest(&fabric, tile)`: the job's pool key.
+        /// Carried rather than recomputed per job because the digest
+        /// hashes the whole fabric; [`crate::QueryEngine::compose`] computes
+        /// it once per tile when the session opens.
+        class: ConfigDigest,
     },
 }
 
@@ -76,6 +84,7 @@ impl ScenarioFabric {
                 fabric,
                 partition,
                 tile,
+                ..
             } => {
                 let sized = (**fabric).clone().with_queue_size(max_capacity);
                 return build_tile_fabric(&sized, partition, *tile);

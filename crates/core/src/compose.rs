@@ -140,6 +140,8 @@ pub struct ComposeStats {
 /// attribution.
 struct TileData {
     name: String,
+    /// The tile's structural class digest, carried by its jobs.
+    class: ConfigDigest,
     system: System,
     colors: ColorMap,
     invariants: InvariantSet,
@@ -152,7 +154,8 @@ struct TileData {
 /// engines staying warm across calls.  See the documentation of
 /// [`QueryEngine::compose`] for the architecture.
 pub struct Composition {
-    config: FabricConfig,
+    /// Shared with every tile job, so submitting one copies no fabric.
+    config: Arc<FabricConfig>,
     partition: Arc<Partition>,
     options: ComposeOptions,
     service: Service,
@@ -204,17 +207,18 @@ impl QueryEngine {
                     ingress: p.direction == PortDirection::Ingress,
                 })
                 .collect();
+            let class = partition.tile_class_digest(&config, tile);
+            if !classes.contains(&class) {
+                classes.push(class);
+            }
             tiles.push(TileData {
                 name: partition.tile(tile).name.clone(),
+                class,
                 system,
                 colors,
                 invariants,
                 ports,
             });
-            let digest = partition.tile_class_digest(&config, tile);
-            if !classes.contains(&digest) {
-                classes.push(digest);
-            }
         }
         let graph = boundary_graph(&config, &partition);
         let service = Service::new(
@@ -230,7 +234,7 @@ impl QueryEngine {
                 .with_telemetry(options.check.solver.telemetry.clone()),
         );
         Ok(Composition {
-            config,
+            config: Arc::new(config),
             partition,
             options,
             service,
@@ -299,21 +303,14 @@ impl Composition {
                 ("capacity", capacity.to_string()),
             ]
         });
-        for (index, tile) in self.tiles.iter().enumerate() {
+        for index in 0..self.tiles.len() {
             self.service.submit(
-                VerifyJob::over(
-                    tile.name.clone(),
-                    ScenarioFabric::Tile {
-                        fabric: Box::new(self.config.clone()),
-                        partition: Arc::clone(&self.partition),
-                        tile: index,
-                    },
-                )
-                .with_spec(spec)
-                .with_config(self.options.check.clone())
-                .at_capacity(capacity)
-                .with_engine_range(self.options.capacities.clone())
-                .with_invariants(query.invariants_enabled()),
+                VerifyJob::over(self.tiles[index].name.clone(), self.tile_job(index))
+                    .with_spec(spec)
+                    .with_config(self.options.check.clone())
+                    .at_capacity(capacity)
+                    .with_engine_range(self.options.capacities.clone())
+                    .with_invariants(query.invariants_enabled()),
             );
         }
 
@@ -395,6 +392,17 @@ impl Composition {
             },
             attribution,
         )
+    }
+
+    /// The certification job fabric of tile `index`, carrying the class
+    /// digest computed when the session opened.
+    pub(crate) fn tile_job(&self, index: usize) -> ScenarioFabric {
+        ScenarioFabric::Tile {
+            fabric: Arc::clone(&self.config),
+            partition: Arc::clone(&self.partition),
+            tile: index,
+            class: self.tiles[index].class,
+        }
     }
 
     /// The interface contracts of every tile at `capacity`, in tile order.

@@ -117,11 +117,7 @@ fn fabric_digest(fabric: &ScenarioFabric) -> Result<ConfigDigest, Vec<u64>> {
         // subfabrics are isomorphic (same internal structure, same typed
         // boundary) share an engine, which is what lets a big mesh certify
         // through a handful of warm engines.
-        ScenarioFabric::Tile {
-            fabric,
-            partition,
-            tile,
-        } => Ok(partition.tile_class_digest(fabric, *tile)),
+        ScenarioFabric::Tile { class, .. } => Ok(*class),
         ScenarioFabric::Mesh(config) => match config.to_fabric() {
             Ok(translated) => Ok(translated.structure_digest()),
             Err(_) => Err(vec![
@@ -193,16 +189,31 @@ mod tests {
 
     #[test]
     fn same_class_tiles_share_a_fingerprint() {
+        use crate::{ComposeOptions, QueryEngine};
         use advocat_noc::Partition;
         use std::sync::Arc;
 
         let config = FabricConfig::new(Topology::mesh(3, 3).unwrap(), 2).with_directory(4);
         let partition = Arc::new(Partition::per_node(&config.topology));
-        let tile_job = |tile: usize| ScenarioFabric::Tile {
-            fabric: Box::new(config.clone()),
-            partition: Arc::clone(&partition),
-            tile,
-        };
+        let composition = QueryEngine::compose(
+            config.clone(),
+            Arc::clone(&partition),
+            ComposeOptions::new(1..=3),
+        )
+        .unwrap();
+        // The jobs carry the class digest computed when the session
+        // opened; it must be the one a recomputation gives.
+        for tile in 0..partition.num_tiles() {
+            let ScenarioFabric::Tile { class, .. } = composition.tile_job(tile) else {
+                panic!("a composed tile job is a tile fabric");
+            };
+            assert_eq!(
+                class,
+                partition.tile_class_digest(&config, tile),
+                "tile {tile}"
+            );
+        }
+        let tile_job = |tile: usize| composition.tile_job(tile);
         let (range, check, spec) = (1..=3, CheckConfig::default(), DeadlockSpec::default());
         // All four corner tiles are one structural class; the directory
         // node in the centre is its own.

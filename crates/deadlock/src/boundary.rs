@@ -22,7 +22,7 @@
 use std::time::{Duration, Instant};
 
 use advocat_invariants::ContractRow;
-use advocat_logic::{CheckConfig, Formula, LinExpr, SmtResult, SmtSolver};
+use advocat_logic::{BoolVar, CheckConfig, Formula, IntVar, LinExpr, SmtResult, SmtSolver};
 
 /// The named boundary interface an encoding is built over: the cut-queue
 /// names the template binds to occupancy variables so contracts can be
@@ -132,6 +132,47 @@ impl BoundaryAnalysis {
 /// tiles' interiors.
 pub fn check_composition(model: &CompositionModel, config: &CheckConfig) -> BoundaryAnalysis {
     let start = Instant::now();
+    let mut encoding = encode(model);
+    let outcome = match encoding.smt.check_with(config) {
+        SmtResult::Unsat => BoundaryOutcome::Free,
+        SmtResult::Unknown => BoundaryOutcome::Unknown,
+        SmtResult::Sat(witness) => {
+            let mut ports: Vec<String> = model
+                .ports
+                .iter()
+                .zip(&encoding.blocked)
+                .filter(|(_, &b)| witness.bool_value(b))
+                .map(|(p, _)| p.name.clone())
+                .collect();
+            ports.sort();
+            BoundaryOutcome::Candidate { ports }
+        }
+    };
+    let stats = encoding.smt.stats();
+    BoundaryAnalysis {
+        outcome,
+        imported: encoding.imported,
+        skipped: encoding.skipped,
+        refinements: stats.refinements,
+        theory_conflicts: stats.theory_conflicts,
+        elapsed: start.elapsed(),
+    }
+}
+
+/// The boundary query of a [`CompositionModel`], asserted but not yet
+/// checked.
+struct Encoding {
+    smt: SmtSolver,
+    /// Occupancy of each port, in the model's port order.
+    #[cfg_attr(not(test), allow(dead_code))]
+    occ: Vec<IntVar>,
+    /// `blocked` indicator of each port, in the model's port order.
+    blocked: Vec<BoolVar>,
+    imported: usize,
+    skipped: usize,
+}
+
+fn encode(model: &CompositionModel) -> Encoding {
     let mut smt = SmtSolver::new();
     let occ: Vec<_> = model
         .ports
@@ -145,10 +186,15 @@ pub fn check_composition(model: &CompositionModel, config: &CheckConfig) -> Boun
         .collect();
 
     for (i, port) in model.ports.iter().enumerate() {
-        // A blocked port is full …
+        // A blocked port is full … stated as `occ ≥ cap` alone: inside the
+        // domain `[0, cap]` that is exactly `occ = cap`, and it is one
+        // theory atom.  The equality would add the bound-implied half
+        // `occ ≤ cap` as an atom of its own, which the SAT search is free
+        // to set false — each such guess costs a theory conflict and a
+        // refinement round trip, one per port.
         smt.assert(Formula::implies(
             Formula::bool_var(blocked[i]),
-            Formula::eq(
+            Formula::ge(
                 LinExpr::var(occ[i]),
                 LinExpr::constant(port.capacity as i64),
             ),
@@ -186,30 +232,12 @@ pub fn check_composition(model: &CompositionModel, config: &CheckConfig) -> Boun
     }
 
     smt.assert(Formula::or(blocked.iter().map(|&b| Formula::bool_var(b))));
-
-    let outcome = match smt.check_with(config) {
-        SmtResult::Unsat => BoundaryOutcome::Free,
-        SmtResult::Unknown => BoundaryOutcome::Unknown,
-        SmtResult::Sat(witness) => {
-            let mut ports: Vec<String> = model
-                .ports
-                .iter()
-                .zip(&blocked)
-                .filter(|(_, &b)| witness.bool_value(b))
-                .map(|(p, _)| p.name.clone())
-                .collect();
-            ports.sort();
-            BoundaryOutcome::Candidate { ports }
-        }
-    };
-    let stats = smt.stats();
-    BoundaryAnalysis {
-        outcome,
+    Encoding {
+        smt,
+        occ,
+        blocked,
         imported,
         skipped,
-        refinements: stats.refinements,
-        theory_conflicts: stats.theory_conflicts,
-        elapsed: start.elapsed(),
     }
 }
 
@@ -243,6 +271,41 @@ mod tests {
                 assert_eq!(ports, vec!["qA".to_string(), "qB".to_string()]);
             }
             other => panic!("expected a candidate, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn blocked_ports_of_a_candidate_are_exactly_full() {
+        // A 3-port cycle at capacity k: the `occ ≥ cap` atom must still
+        // pin every blocked port at occupancy k, and find the candidate
+        // without a single theory conflict.
+        for k in 1..=4 {
+            let model = CompositionModel {
+                ports: (0..3)
+                    .map(|i| InterfacePort {
+                        name: format!("q{i}"),
+                        capacity: k,
+                        deps: vec![(i + 1) % 3],
+                    })
+                    .collect(),
+                constraints: Vec::new(),
+            };
+            let mut encoding = encode(&model);
+            let witness = encoding.smt.check().expect_sat();
+            let mut blocked = 0;
+            for (&b, &occ) in encoding.blocked.iter().zip(&encoding.occ) {
+                if witness.bool_value(b) {
+                    blocked += 1;
+                    assert_eq!(witness.int_value(occ), k as i64, "capacity {k}");
+                }
+            }
+            assert!(blocked > 0, "capacity {k}: a candidate blocks some port");
+            let analysis = check_composition(&model, &CheckConfig::default());
+            assert!(matches!(
+                analysis.outcome,
+                BoundaryOutcome::Candidate { .. }
+            ));
+            assert_eq!(analysis.theory_conflicts, 0, "capacity {k}");
         }
     }
 

@@ -89,7 +89,7 @@ pub struct Analysis {
     pub verdict: Verdict,
     /// Statistics about the run.
     pub stats: AnalysisStats,
-    /// Phase-attributed solver profile (propagate/analyze/reduce/restart
+    /// Phase-attributed solver profile (propagate/analyze/reduce/sweep/restart
     /// time and the restart timeline).  `None` unless the check ran with
     /// an enabled telemetry handle in its
     /// [`SolverConfig`](advocat_logic::SolverConfig).

@@ -279,6 +279,9 @@ pub struct SatStats {
     /// Number of clauses physically deleted by reductions: worst-half
     /// learnt clauses plus clauses permanently satisfied at level zero.
     pub deleted_clauses: u64,
+    /// Number of level-zero sweeps at solve entry (a reduction sweeps as
+    /// part of itself and counts in `reduced_dbs` instead).
+    pub sweeps: u64,
 }
 
 /// An indexed binary max-heap over variable activities: `pop` yields the
@@ -1024,13 +1027,21 @@ impl SatSolver {
     /// Drops every clause a level-zero unit has permanently satisfied —
     /// in an assumption-based session, the guarded encodings of popped
     /// scopes.  Cheap bookkeeping makes it a no-op unless the level-zero
-    /// trail grew since the last sweep.
+    /// trail grew since the last sweep; a sweep that runs costs
+    /// O(arena literals + level-zero units new since the last sweep), never
+    /// O(variables), so a warm session whose level-zero trail holds most
+    /// of its variables pays only for the clauses still alive.
     fn simplify(&mut self) {
         if self.trail.len() == self.simplified_trail_len {
             return;
         }
+        let start = self.profiling.then(Instant::now);
         let no_marks = vec![false; self.learnts.len()];
         self.collect_garbage(&no_marks);
+        self.stats.sweeps += 1;
+        if let Some(start) = start {
+            self.profile.sweep.add(start.elapsed());
+        }
     }
 
     /// Removes marked learnt clauses and permanently satisfied clauses
@@ -1041,15 +1052,32 @@ impl SatSolver {
     /// every surviving clause has at least two unassigned literals after
     /// satisfied clauses are removed and falsified literals are stripped —
     /// which makes re-watching the first two literals sound.  Reasons are
-    /// cleared wholesale: at level zero they are never dereferenced again
-    /// (conflict analysis skips level-zero variables), and clearing them
-    /// keeps no dangling references into the compacted arenas.
+    /// cleared: at level zero they are never dereferenced again (conflict
+    /// analysis skips level-zero variables), and clearing them keeps no
+    /// dangling references into the compacted arenas.
+    ///
+    /// Cost: O(arena literals + level-zero units new since the last sweep).
+    /// Only state an arena clause or a new unit can own is touched:
+    /// backtracking already clears the reasons of unassigned variables, so
+    /// only `trail[simplified_trail_len..]` can hold one; and every
+    /// non-empty watch list and non-zero occurrence count belongs to a
+    /// literal of an arena clause, so clearing those before compaction
+    /// leaves the same state as clearing all of them.  The rebuilt watch
+    /// order and counts are exactly those of a from-scratch rebuild, which
+    /// debug builds re-check after every call.
     fn collect_garbage(&mut self, drop_learnt: &[bool]) {
         debug_assert_eq!(self.decision_level(), 0);
         debug_assert_eq!(self.qhead, self.trail.len());
 
-        for reason in &mut self.reasons {
-            *reason = None;
+        for &lit in &self.trail[self.simplified_trail_len..] {
+            self.reasons[lit.var()] = None;
+        }
+        for c in self.clauses.iter().chain(self.learnts.iter()) {
+            self.watches[c.lits[0].code()].clear();
+            self.watches[c.lits[1].code()].clear();
+            for &lit in &c.lits {
+                self.occurs[lit.var()] = 0;
+            }
         }
 
         let satisfied = |solver: &Self, c: &Clause| {
@@ -1090,9 +1118,6 @@ impl SatSolver {
         compact(self, true, drop_learnt);
         compact(self, false, &[]);
 
-        for watch in &mut self.watches {
-            watch.clear();
-        }
         for (i, c) in self.clauses.iter().enumerate() {
             self.watches[c.lits[0].code()].push(i);
             self.watches[c.lits[1].code()].push(i);
@@ -1104,7 +1129,6 @@ impl SatSolver {
 
         // Recount occurrences: variables all of whose clauses were just
         // deleted become unconstrained and drop out of branching entirely.
-        self.occurs.iter_mut().for_each(|o| *o = 0);
         for c in self.clauses.iter().chain(self.learnts.iter()) {
             for &lit in &c.lits {
                 self.occurs[lit.var()] += 1;
@@ -1114,6 +1138,36 @@ impl SatSolver {
         self.stats.deleted_clauses += deleted;
         self.stats.learnt_clauses = self.learnts.len() as u64;
         self.simplified_trail_len = self.trail.len();
+        #[cfg(debug_assertions)]
+        self.assert_swept();
+    }
+
+    /// The O(variables) rebuild [`SatSolver::collect_garbage`] avoids, kept
+    /// as an independent oracle for debug builds: every watch list holds
+    /// exactly the watchers of the first two literals of the arena clauses
+    /// (in arena order), every occurrence count equals a full recount, and
+    /// no variable holds a reason (at level zero after a sweep, none may).
+    #[cfg(debug_assertions)]
+    fn assert_swept(&self) {
+        let mut watches: Vec<Vec<ClauseRef>> = vec![Vec::new(); self.watches.len()];
+        let mut occurs = vec![0u32; self.num_vars()];
+        let arenas = [(&self.clauses, 0), (&self.learnts, LEARNT_BIT)];
+        for (arena, tag) in arenas {
+            for (i, c) in arena.iter().enumerate() {
+                watches[c.lits[0].code()].push(i | tag);
+                watches[c.lits[1].code()].push(i | tag);
+                for &lit in &c.lits {
+                    occurs[lit.var()] += 1;
+                }
+            }
+        }
+        for (code, (got, want)) in self.watches.iter().zip(&watches).enumerate() {
+            assert_eq!(got, want, "watch list of literal code {code} after a sweep");
+        }
+        assert_eq!(self.occurs, occurs, "occurrence counts after a sweep");
+        if let Some(v) = self.reasons.iter().position(Option::is_some) {
+            panic!("variable {v} keeps a reason after a sweep");
+        }
     }
 
     /// Feeds a fresh learnt-clause LBD into the restart EMAs.
@@ -1662,6 +1716,11 @@ mod tests {
                 }
             }
         }
+        // A guarded clause, then its guard disabled at level zero (a popped
+        // scope in miniature): the solve opens with one sweep.
+        let guard = s.new_var();
+        s.add_clause(&[lit(guard, false), lit(p[0][0], false)]);
+        s.add_clause(&[lit(guard, false)]);
         assert_eq!(s.solve(), Err(Unsat));
         let stats = s.stats();
         let profile = s.take_profile();
@@ -1673,6 +1732,8 @@ mod tests {
         assert_eq!(profile.restart.count, stats.restarts);
         assert_eq!(profile.restarts.len() as u64, stats.restarts);
         assert_eq!(profile.reduce.count, stats.reduced_dbs);
+        assert_eq!(profile.sweep.count, stats.sweeps);
+        assert_eq!(stats.sweeps, 1, "the guard unit sweeps once, at entry");
         for pair in profile.restarts.windows(2) {
             assert!(pair[0].conflicts <= pair[1].conflicts);
         }

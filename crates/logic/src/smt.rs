@@ -1239,6 +1239,90 @@ mod tests {
     }
 
     #[test]
+    fn many_scoped_queries_agree_with_cold_solves_across_sweeps() {
+        // 500 push/assert/check/pop rounds on one persistent solver.  Every
+        // pop adds a level-zero unit, so each next check opens with a
+        // sweep, which debug builds re-check against a from-scratch
+        // rebuild of the watches, occurrence counts and reasons.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let declare = |smt: &mut SmtSolver| {
+            let bools: Vec<BoolVar> = (0..6).map(|i| smt.new_bool_var(format!("b{i}"))).collect();
+            let ints: Vec<IntVar> = (0..4)
+                .map(|i| smt.new_int_var(format!("x{i}"), 0, 4))
+                .collect();
+            (bools, ints)
+        };
+        let mut session = SmtSolver::persistent();
+        let (bools, ints) = declare(&mut session);
+        let base = Formula::or([
+            Formula::bool_var(bools[0]),
+            Formula::ge(
+                LinExpr::var(ints[0]) + LinExpr::var(ints[1]),
+                LinExpr::constant(3),
+            ),
+        ]);
+        session.assert(base.clone());
+        let mut verdicts = [0usize; 2];
+        for round in 0..500 {
+            let mut scoped = Vec::new();
+            for _ in 0..1 + next(4) {
+                let b = Formula::bool_var(bools[next(6) as usize]);
+                let b = if next(2) == 0 { b } else { Formula::not(b) };
+                let mut sum = LinExpr::zero();
+                sum.add_term(1 + next(2) as i64, ints[next(4) as usize]);
+                sum.add_term(1, ints[next(4) as usize]);
+                let bound = LinExpr::constant(next(9) as i64);
+                let atom = if next(2) == 0 {
+                    Formula::le(sum, bound)
+                } else {
+                    Formula::ge(sum, bound)
+                };
+                scoped.push(match next(3) {
+                    0 => Formula::implies(b, atom),
+                    1 => Formula::or([b, atom]),
+                    _ => atom,
+                });
+            }
+            session.push();
+            for formula in &scoped {
+                session.assert(formula.clone());
+            }
+            let warm = session.check();
+            session.pop();
+
+            let mut cold = SmtSolver::new();
+            declare(&mut cold);
+            cold.assert(base.clone());
+            for formula in &scoped {
+                cold.assert(formula.clone());
+            }
+            let cold_sat = cold.check().is_sat();
+            assert_eq!(warm.is_sat(), cold_sat, "round {round}: {scoped:?}");
+            if let SmtResult::Sat(model) = warm {
+                for formula in std::iter::once(&base).chain(&scoped) {
+                    assert!(
+                        formula.evaluate(&mut |b| model.bool_value(b), &mut |x| model.int_value(x)),
+                        "round {round}: the warm model violates {formula:?}"
+                    );
+                }
+            }
+            verdicts[usize::from(cold_sat)] += 1;
+        }
+        assert!(
+            verdicts[0] > 0 && verdicts[1] > 0,
+            "both verdicts occur: {verdicts:?}"
+        );
+        let sat = session.sat_stats().expect("persistent");
+        assert!(sat.sweeps >= 499, "every pop leads to a sweep: {sat:?}");
+    }
+
+    #[test]
     fn per_check_sat_stats_are_deltas() {
         let mut smt = SmtSolver::persistent();
         let x = smt.new_int_var("x", 0, 6);

@@ -8,7 +8,9 @@
 //! 1. **interval propagation** — repeatedly tighten variable domains from
 //!    the constraints until a fixpoint or an empty domain is reached, and
 //! 2. **branch & bound** — split the domain of an undetermined variable and
-//!    recurse.
+//!    recurse, lower half first.  A node whose lower bounds already
+//!    satisfy every constraint answers them at once: that point survives
+//!    every propagation below, so the descent would end there anyway.
 //!
 //! The solver returns an integer model when feasible.  When propagation
 //! refutes a constraint set, [`explain_refutation`] names the constraints
@@ -335,6 +337,13 @@ fn search(mut domains: Domains, constraints: &[Constraint], budget: &mut u64) ->
         Propagation::Refuted => return TheoryVerdict::Unsat,
         Propagation::Overflow => return TheoryVerdict::Unknown,
     }
+    // Propagation never removes a solution, so when the point of lower
+    // bounds is one, the lower-half-first descent below keeps it in every
+    // domain and ends exactly there: answer it without descending (one
+    // O(terms) pass instead of a node per unfixed variable).
+    if constraints.iter().all(|c| c.holds(&domains.lo)) {
+        return TheoryVerdict::Sat(domains.lo);
+    }
     // Pick the unfixed variable with the smallest domain.
     let mut pick: Option<(usize, u64)> = None;
     for v in 0..domains.lo.len() {
@@ -347,10 +356,7 @@ fn search(mut domains: Domains, constraints: &[Constraint], budget: &mut u64) ->
         }
     }
     let Some((v, width)) = pick else {
-        // All variables fixed: propagation guarantees every constraint's
-        // minimal sum is within bounds, which for fixed domains is the exact
-        // sum, so this is a model.
-        return TheoryVerdict::Sat(domains.lo);
+        unreachable!("with every domain fixed, the lower bounds are the model checked above")
     };
     // lo ≤ mid < hi, so neither `mid` nor `mid + 1` overflows.
     let mid = domains.lo[v].wrapping_add_unsigned(width / 2);
@@ -430,6 +436,88 @@ mod tests {
             }
             other => panic!("expected Sat, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_lower_bound_model_answers_without_descending() {
+        // The boundary check's shape: one unary atom per port, half of
+        // them "full" (x ≥ 2), half "not full" (x ≤ 1).  A single node
+        // answers; a descent would need one node per undecided port.
+        let cs: Vec<Constraint> = (0..224)
+            .map(|v| match v % 2 {
+                0 => le(vec![(-1, v)], -2),
+                _ => le(vec![(1, v)], 1),
+            })
+            .collect();
+        match solve(&[(0, 2); 224], &cs, 1) {
+            TheoryVerdict::Sat(m) => {
+                for (v, &x) in m.iter().enumerate() {
+                    assert_eq!(x, if v % 2 == 0 { 2 } else { 0 }, "x{v}");
+                }
+            }
+            other => panic!("expected Sat, got {other:?}"),
+        }
+    }
+
+    /// The branch-and-bound descent without the lower-bound shortcut.
+    fn descend(mut domains: Domains, constraints: &[Constraint]) -> TheoryVerdict {
+        match propagate(&mut domains, constraints, None) {
+            Propagation::Fixpoint => {}
+            Propagation::Refuted => return TheoryVerdict::Unsat,
+            Propagation::Overflow => return TheoryVerdict::Unknown,
+        }
+        let pick = (0..domains.lo.len())
+            .filter(|&v| !domains.is_fixed(v))
+            .min_by_key(|&v| domains.hi[v].abs_diff(domains.lo[v]));
+        let Some(v) = pick else {
+            return TheoryVerdict::Sat(domains.lo);
+        };
+        let mid = domains.lo[v] + (domains.hi[v] - domains.lo[v]) / 2;
+        let mut lower = domains.clone();
+        lower.hi[v] = mid;
+        match descend(lower, constraints) {
+            TheoryVerdict::Unsat => {}
+            answer => return answer,
+        }
+        let mut upper = domains;
+        upper.lo[v] = mid + 1;
+        descend(upper, constraints)
+    }
+
+    #[test]
+    fn the_shortcut_answers_what_the_descent_answers() {
+        // Same verdict and the very same model on random small systems.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as i64
+        };
+        let mut sat = 0;
+        for round in 0..3000 {
+            let vars = 2 + next(3) as usize;
+            let bounds: Vec<(i64, i64)> = (0..vars).map(|_| (next(2), 2 + next(3))).collect();
+            let cs: Vec<Constraint> = (0..1 + next(4))
+                .map(|_| {
+                    let terms = (0..vars)
+                        .filter_map(|v| match next(7) - 3 {
+                            0 => None,
+                            c => Some((c, v)),
+                        })
+                        .collect();
+                    le(terms, next(9) - 4)
+                })
+                .collect();
+            let answer = solve(&bounds, &cs, u64::MAX);
+            assert_eq!(
+                answer,
+                descend(Domains::new(&bounds), &cs),
+                "round {round}: {bounds:?} {cs:?}"
+            );
+            sat += usize::from(matches!(answer, TheoryVerdict::Sat(_)));
+        }
+        assert!((300..2700).contains(&sat), "both verdicts occur: {sat} Sat");
     }
 
     #[test]

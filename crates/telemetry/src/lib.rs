@@ -14,7 +14,7 @@
 //!   with hand-rolled Prometheus-text and JSON exposition (the build
 //!   environment is offline — no serde);
 //! * **Solver profiles** ([`SolverProfile`]): per-query attribution of
-//!   time and conflicts to the propagate/analyze/reduce/restart phases
+//!   time and conflicts to the propagate/analyze/reduce/sweep/restart phases
 //!   plus the restart/LBD-EMA timeline.
 //!
 //! The entry point is the [`Telemetry`] handle.  It is **disabled by

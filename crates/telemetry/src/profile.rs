@@ -53,8 +53,13 @@ pub struct SolverProfile {
     pub propagate: PhaseCost,
     /// First-UIP conflict analysis, LBD computation included.
     pub analyze: PhaseCost,
-    /// Learnt-database reductions (worst-half deletion + garbage sweeps).
+    /// Learnt-database reductions: worst-half deletion and the arena
+    /// compaction that comes with it.
     pub reduce: PhaseCost,
+    /// Level-zero sweeps at solve entry: dropping the clauses that new
+    /// permanent units (e.g. a popped scope's disabled activation literal)
+    /// satisfy, and rebuilding the watches of the survivors.
+    pub sweep: PhaseCost,
     /// Restarts (backtracking to level zero and EMA re-alignment).
     pub restart: PhaseCost,
     /// Conflicts attributed to this profile.  At most one more than
@@ -72,6 +77,7 @@ impl SolverProfile {
         self.propagate.count == 0
             && self.analyze.count == 0
             && self.reduce.count == 0
+            && self.sweep.count == 0
             && self.restart.count == 0
             && self.restarts.is_empty()
     }
@@ -82,14 +88,19 @@ impl SolverProfile {
         self.propagate.merge(&other.propagate);
         self.analyze.merge(&other.analyze);
         self.reduce.merge(&other.reduce);
+        self.sweep.merge(&other.sweep);
         self.restart.merge(&other.restart);
         self.conflicts += other.conflicts;
         self.restarts.extend_from_slice(&other.restarts);
     }
 
-    /// Total time attributed to the four phases.
+    /// Total time attributed to the five phases.
     pub fn attributed_time(&self) -> Duration {
-        self.propagate.time + self.analyze.time + self.reduce.time + self.restart.time
+        self.propagate.time
+            + self.analyze.time
+            + self.reduce.time
+            + self.sweep.time
+            + self.restart.time
     }
 }
 
@@ -100,13 +111,16 @@ impl fmt::Display for SolverProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "propagate {:.2?}/{}, analyze {:.2?}/{}, reduce {:.2?}/{}, restart {:.2?}/{}",
+            "propagate {:.2?}/{}, analyze {:.2?}/{}, reduce {:.2?}/{}, sweep {:.2?}/{}, \
+             restart {:.2?}/{}",
             self.propagate.time,
             self.propagate.count,
             self.analyze.time,
             self.analyze.count,
             self.reduce.time,
             self.reduce.count,
+            self.sweep.time,
+            self.sweep.count,
             self.restart.time,
             self.restart.count,
         )?;
@@ -157,6 +171,18 @@ mod tests {
     }
 
     #[test]
+    fn sweeps_count_merge_and_attribute() {
+        let mut a = SolverProfile::default();
+        a.sweep.add(Duration::from_micros(4));
+        assert!(!a.is_empty());
+        let mut b = SolverProfile::default();
+        b.sweep.add(Duration::from_micros(6));
+        a.merge(&b);
+        assert_eq!(a.sweep.count, 2);
+        assert_eq!(a.attributed_time(), Duration::from_micros(10));
+    }
+
+    #[test]
     fn display_names_every_phase() {
         let mut profile = SolverProfile::default();
         profile.analyze.add(Duration::from_micros(3));
@@ -166,7 +192,14 @@ mod tests {
             lbd_ema_slow: 2.5,
         });
         let text = profile.to_string();
-        for phase in ["propagate", "analyze", "reduce", "restart", "lbd-ema"] {
+        for phase in [
+            "propagate",
+            "analyze",
+            "reduce",
+            "sweep",
+            "restart",
+            "lbd-ema",
+        ] {
             assert!(text.contains(phase), "{text}");
         }
     }

@@ -190,6 +190,41 @@ fn the_boundary_check_reports_its_refinements_on_a_trace_event() {
     assert_eq!(conflicts, refinements - 1, "{event}");
 }
 
+/// On a 4×4 mesh every blocked cut port is stated full by one `occ ≥ cap`
+/// atom, so the boundary search finds its candidate on the first
+/// refinement: no theory conflict at all.  An `occ = cap` equality leaves
+/// the bound-implied `occ ≤ cap` half to the SAT search, which guesses it
+/// false once per port (one theory conflict each).
+#[test]
+fn a_4x4_boundary_check_needs_no_theory_conflict() {
+    let config = FabricConfig::new(Topology::mesh(4, 4).unwrap(), 2).with_directory(5);
+    let partition = Arc::new(Partition::per_node(&config.topology));
+    let (telemetry, trace) = Telemetry::ring(1 << 16);
+    let check = CheckConfig {
+        solver: SolverConfig {
+            telemetry: telemetry.clone(),
+            ..SolverConfig::default()
+        },
+        ..CheckConfig::default()
+    };
+    let options = ComposeOptions::new(2..=2)
+        .with_flat_fallback(0)
+        .with_check(check);
+    let mut composed = QueryEngine::compose(config, partition, options).unwrap();
+    let report = composed.check(&Query::new().capacity(2));
+    assert!(!report.is_deadlock_free(), "the boundary check fires");
+    assert!(report.attribution().is_some(), "candidates are attributed");
+    telemetry.flush();
+
+    let lines = trace.lines();
+    let event = lines
+        .iter()
+        .find(|l| l.contains("\"type\":\"event\"") && l.contains("\"name\":\"compose.boundary\""))
+        .expect("a compose.boundary event");
+    assert!(event.contains("\"theory_conflicts\":\"0\""), "{event}");
+    assert!(event.contains("\"refinements\":\"1\""), "{event}");
+}
+
 /// A tile that fails certification (here: a ring segment that wedges even
 /// under a fully liberal environment) short-circuits the composed run
 /// and is named in the attribution.

@@ -132,6 +132,13 @@ fn reports_carry_a_solver_profile_when_telemetry_is_on() {
     let profile = report.solver_profile().expect("telemetry was enabled");
     assert!(profile.propagate.count > 0);
     assert!(report.summary().contains("solver profile: propagate"));
+    // The level-zero sweep at solve entry is a phase of its own.
+    assert!(profile.sweep.count > 0, "{profile:?}");
+    assert!(
+        report.summary().contains(", sweep "),
+        "{}",
+        report.summary()
+    );
 }
 
 /// The service registers the documented metric names, and both exposition
